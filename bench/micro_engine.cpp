@@ -213,15 +213,16 @@ void BM_SweepFanout(benchmark::State& state) {
   s.sim.num_vcs = 4;
   s.warmup = 500;
   s.measure = 1000;
-  const auto points =
-      ParallelSweep::expand_loads(s, {0.2, 0.4, 0.6, 0.8, 1.0});
+  std::vector<TaskSpec> tasks;
+  for (double load : {0.2, 0.4, 0.6, 0.8, 1.0})
+    tasks.push_back(TaskSpec::rate(s, load));
   ParallelSweep sweep(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const auto rows = sweep.run(points);
-    benchmark::DoNotOptimize(rows.data());
+    const auto results = sweep.run_tasks(tasks);
+    benchmark::DoNotOptimize(results.data());
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(points.size()));
+                          static_cast<std::int64_t>(tasks.size()));
 }
 BENCHMARK(BM_SweepFanout)->Arg(1)->Arg(2)->Arg(4)->Unit(benchmark::kMillisecond);
 

@@ -18,9 +18,4 @@ void DorAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
   }
 }
 
-int DorAlgorithm::max_hops(const NetworkContext& ctx) const {
-  HXSP_CHECK(ctx.hyperx);
-  return ctx.hyperx->dims();
-}
-
 } // namespace hxsp

@@ -21,8 +21,6 @@ class DorAlgorithm final : public RouteAlgorithm {
 
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
              std::vector<PortCand>& out) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
 };
 
 } // namespace hxsp

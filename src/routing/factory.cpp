@@ -23,10 +23,6 @@ class EscapeOnlyAlgorithm final : public RouteAlgorithm {
   std::string name() const override { return "none"; }
   void ports(const NetworkContext&, const Packet&, SwitchId,
              std::vector<PortCand>&) const override {}
-  int max_hops(const NetworkContext& ctx) const override {
-    // Escape routes are bounded by one up-and-down traversal of the tree.
-    return 2 * ctx.dist->diameter();
-  }
 };
 
 } // namespace

@@ -12,9 +12,9 @@ LadderMechanism::LadderMechanism(std::unique_ptr<RouteAlgorithm> algo,
 
 Vc LadderMechanism::rung(int hops, int num_vcs) const {
   // Saturate at the top rung: routes longer than the ladder keep using the
-  // last VC(s). In fault-free runs max_hops() fits the configured VCs (the
-  // tests assert this); under faults the ladder's guarantee is void, which
-  // is precisely the paper's argument for SurePath.
+  // last VC(s). In fault-free runs the longest route fits the configured
+  // VCs; under faults the ladder's guarantee is void, which is precisely
+  // the paper's argument for SurePath.
   const int step = hops * vcs_per_step_;
   const int top = num_vcs - vcs_per_step_;
   return static_cast<Vc>(step > top ? top : step);

@@ -101,10 +101,6 @@ class RouteAlgorithm {
   /// deroutes here); arguments: context, packet, source switch, candidate.
   virtual void commit(const NetworkContext&, Packet&, SwitchId,
                       const PortCand&) const {}
-
-  /// Upper bound on route length in a fault-free network, used for ladder
-  /// sizing checks (e.g. 2n for Omnidimensional with m = n).
-  virtual int max_hops(const NetworkContext& ctx) const = 0;
 };
 
 /// RouteAlgorithm + VC management = what the simulator actually runs.

@@ -14,8 +14,4 @@ void MinimalAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
     if (row[ap.neighbor] == d - 1) out.push_back({ap.port, 0, false});
 }
 
-int MinimalAlgorithm::max_hops(const NetworkContext& ctx) const {
-  return ctx.dist->diameter();
-}
-
 } // namespace hxsp

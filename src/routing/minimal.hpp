@@ -19,8 +19,6 @@ class MinimalAlgorithm final : public RouteAlgorithm {
 
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
              std::vector<PortCand>& out) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
 };
 
 } // namespace hxsp

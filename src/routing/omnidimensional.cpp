@@ -39,8 +39,4 @@ void OmnidimensionalAlgorithm::commit(const NetworkContext& ctx, Packet& p,
   }
 }
 
-int OmnidimensionalAlgorithm::max_hops(const NetworkContext& ctx) const {
-  return ctx.hyperx->dims() + budget(ctx);
-}
-
 } // namespace hxsp

@@ -32,8 +32,6 @@ class OmnidimensionalAlgorithm final : public RouteAlgorithm {
   void commit(const NetworkContext& ctx, Packet& p, SwitchId from,
               const PortCand& cand) const override;
 
-  int max_hops(const NetworkContext& ctx) const override;
-
   /// Effective deroute budget for a given topology.
   int budget(const NetworkContext& ctx) const;
 

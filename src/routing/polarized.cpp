@@ -39,10 +39,4 @@ void PolarizedAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
   }
 }
 
-int PolarizedAlgorithm::max_hops(const NetworkContext& ctx) const {
-  // Polarized routes are at most twice the diameter on HyperX (paper
-  // §3.1.2); 4x is a safe bound on arbitrary faulty graphs.
-  return 4 * ctx.dist->diameter();
-}
-
 } // namespace hxsp

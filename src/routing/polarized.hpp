@@ -38,8 +38,6 @@ class PolarizedAlgorithm final : public RouteAlgorithm {
   void ports(const NetworkContext& ctx, const Packet& p, SwitchId sw,
              std::vector<PortCand>& out) const override;
 
-  int max_hops(const NetworkContext& ctx) const override;
-
  private:
   PolarizedPenalties pen_;
 };

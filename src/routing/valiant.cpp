@@ -27,8 +27,4 @@ void ValiantAlgorithm::ports(const NetworkContext& ctx, const Packet& p,
     if (row[ap.neighbor] == d - 1) out.push_back({ap.port, 0, false});
 }
 
-int ValiantAlgorithm::max_hops(const NetworkContext& ctx) const {
-  return 2 * ctx.dist->diameter();
-}
-
 } // namespace hxsp

@@ -24,8 +24,6 @@ class ValiantAlgorithm final : public RouteAlgorithm {
   void on_inject(const NetworkContext& ctx, Packet& p, Rng& rng) const override;
 
   void on_arrival(const NetworkContext& ctx, Packet& p, SwitchId sw) const override;
-
-  int max_hops(const NetworkContext& ctx) const override;
 };
 
 } // namespace hxsp

@@ -192,10 +192,10 @@ void Network::run_audit() const {
     });
   }
 
-  // --- parallel-step staging buffers ---------------------------------------
+  // --- step staging buffers ------------------------------------------------
   // Both staging areas live only inside one phase of one step: the link
   // stages between collect and commit, the sharded-credit array between
-  // the worker scan and the serial pass. At any cycle boundary (where
+  // the shard scan and the serial pass. At any cycle boundary (where
   // the audit runs) they must be fully drained — a staged-but-uncommitted
   // item here would be a packet or credit missing from every ledger
   // above.
@@ -204,7 +204,7 @@ void Network::run_audit() const {
                    "audit: link-phase staging buffer not drained at a cycle "
                    "boundary");
   HXSP_CHECK_MSG(staged_credits_.empty(),
-                 "audit: sharded event credits not committed at a cycle "
+                 "audit: staged event credits not committed at a cycle "
                  "boundary");
 
   // --- per-output-VC conservation: occupancy and credits ------------------

@@ -117,7 +117,7 @@ struct StepPhaseTimes {
   double events = 0.0;     ///< process_events (wheel slot application)
   double generation = 0.0; ///< server generation + injection
   double alloc = 0.0;      ///< candidate precompute + allocation
-  double link = 0.0;       ///< link phase (collect + commit when parallel)
+  double link = 0.0;       ///< link phase (collect + commit)
 
   double total() const { return events + generation + alloc + link; }
 };
@@ -187,8 +187,9 @@ class Network {
   // --- telemetry (src/telemetry/, all knobs off by default) ---------------
 
   /// The windowed instrument registry, or null when
-  /// SimConfig::telemetry_window == 0. Hook sites in the serial step
-  /// phases gate on this pointer — one compare when telemetry is off.
+  /// SimConfig::telemetry_window == 0. Hook sites in the serial commit
+  /// and allocation passes gate on this pointer — one compare when
+  /// telemetry is off.
   TelemetryRegistry* telemetry() { return telemetry_.get(); }
 
   /// The sampled packet tracer, or null when SimConfig::trace_sample == 0.
@@ -279,13 +280,16 @@ class Network {
 
   // --- deterministic intra-run parallel stepping ---------------------------
 
-  /// Attaches a worker pool for the parallel phases of step(). Three
-  /// phases fan out across the pool, all bit-identical to serial:
+  /// Attaches a worker pool for the parallel phases of step(). Each phase
+  /// has one code path, collect in parallel then commit serially, and
+  /// serial stepping is its one-worker case; output is bit-identical at
+  /// every worker count:
   ///
-  ///  1. Candidate precompute — routers partitioned contiguously, each
-  ///     worker precomputing routing candidates (pure, RNG-free); the
-  ///     serial allocation loop then replays them in ascending router id,
-  ///     so every request, grant and RNG draw keeps its serial order.
+  ///  1. Candidate precompute (pool only) — routers partitioned
+  ///     contiguously, each worker precomputing routing candidates (pure,
+  ///     RNG-free); the serial allocation loop then replays them in
+  ///     ascending router id, so every request, grant and RNG draw keeps
+  ///     its order.
   ///  2. Link phase — the same contiguous partition of link_active_; each
   ///     worker pops transmissions into its per-worker LinkStage (router-
   ///     local mutations only), and a serial commit applies deliveries,
@@ -296,13 +300,13 @@ class Network {
   ///  3. Event application — each wheel slot's router-targeted events
   ///     (InDrainDone / CreditRouter / OutTailGone) are sharded by target
   ///     router id so workers mutate disjoint routers in per-target slot
-  ///     order; Consume and CreditServer (global metrics, workload
-  ///     callbacks) stay on a serial ordered pass that also commits the
-  ///     credits the workers staged.
+  ///     order (one shard inline below kShardEventsMin events); Consume
+  ///     and CreditServer (global metrics, workload callbacks) stay on a
+  ///     serial ordered pass that also commits the credits the shards
+  ///     staged.
   ///
-  /// Pass nullptr to return to fully serial stepping. The pool is
-  /// borrowed, not owned, and must outlive the Network (or be detached
-  /// first).
+  /// Pass nullptr to return to serial stepping. The pool is borrowed, not
+  /// owned, and must outlive the Network (or be detached first).
   void set_step_pool(ThreadPool* pool);
 
   /// The attached step pool (null = serial stepping).
@@ -340,18 +344,25 @@ class Network {
                                 int workers);
 
   /// Applies one Consume event (metrics, time series, workload callback,
-  /// eject credit into \p next). Serial path only.
+  /// eject credit into \p next) on process_events' serial ordered pass.
   void handle_consume(const Event& ev, PooledRing<Event>& next);
 
-  /// Serial commit of the parallel link phase: replays every staged
-  /// transmission (wheel events, link stats, delivery/consumption,
-  /// watchdog progress) in the exact order the serial loop would have
-  /// produced, then retires routers whose output work drained.
+  /// Splits phase_scratch_ into contiguous ascending ranges, one per step
+  /// worker, and calls fn(worker, lo, hi) for each: on the pool when one
+  /// is attached and more than one router is listed, inline as the single
+  /// range (worker 0) otherwise.
+  template <typename Fn>
+  void run_partitioned(const Fn& fn);
+
+  /// Serial commit of the link phase: replays every staged transmission
+  /// (wheel events, link stats, delivery/consumption, watchdog progress)
+  /// in ascending source router id order, then retires routers whose
+  /// output work drained.
   void commit_link_stages();
 
-  /// Events below this slot size are applied serially even with a pool
-  /// attached — the fan-out/join costs more than the scan. Small enough
-  /// that modest test networks still exercise the sharded path.
+  /// Slots with fewer events are applied as one inline shard even with a
+  /// pool attached — the fan-out/join costs more than the scan. Small
+  /// enough that modest test networks still exercise the sharded path.
   static constexpr int kShardEventsMin = 16;
 
   NetworkContext ctx_;
@@ -398,11 +409,12 @@ class Network {
   ThreadPool* step_pool_ = nullptr; ///< borrowed; null = serial stepping
   StepPhaseTimes* phase_times_ = nullptr; ///< borrowed; null = no profiling
 
-  /// Per-worker staging buffers of the parallel link phase (sized to the
-  /// pool on set_step_pool; all empty outside the link phase — audited).
+  /// Per-worker staging buffers of the link phase (one for serial
+  /// stepping, sized to the pool on set_step_pool; all empty outside the
+  /// link phase — audited).
   std::vector<LinkStage> link_stages_;
-  /// Sharded event application: slot-ordinal-indexed credits staged by
-  /// workers, committed by the serial pass (empty outside process_events).
+  /// Event application: slot-ordinal-indexed credits staged by the router
+  /// shards, committed by the serial pass (empty outside process_events).
   std::vector<Event> staged_credits_;
 
   Cycle now_ = 0;

@@ -155,10 +155,18 @@ class JsonParserImpl {
     }
   }
 
-  JsonValue parse_value() {
+  /// \p depth counts the containers enclosing this value.
+  JsonValue parse_value(int depth = 0) {
     skip_ws();
     JsonValue v;
     const char c = peek();
+    // Containers recurse; bound the nesting so hostile input fails with a
+    // message instead of overflowing the stack.
+    if (c == '{' || c == '[')
+      HXSP_CHECK_MSG(depth < kMaxDepth,
+                     ("JSON nesting deeper than " + std::to_string(kMaxDepth) +
+                      " levels")
+                         .c_str());
     if (c == '{') {
       ++pos_;
       v.kind_ = JsonValue::Kind::kObject;
@@ -171,7 +179,7 @@ class JsonParserImpl {
         skip_ws();
         std::string key = parse_string_body();
         expect(':');
-        v.object_.emplace_back(std::move(key), parse_value());
+        v.object_.emplace_back(std::move(key), parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -190,7 +198,7 @@ class JsonParserImpl {
         return v;
       }
       while (true) {
-        v.array_.push_back(parse_value());
+        v.array_.push_back(parse_value(depth + 1));
         skip_ws();
         if (peek() == ',') {
           ++pos_;
@@ -231,6 +239,10 @@ class JsonParserImpl {
     HXSP_CHECK_MSG(!v.scalar_.empty(), "malformed JSON value");
     return v;
   }
+
+  /// Deepest container nesting accepted; manifests, specs and BENCH files
+  /// nest a handful of levels.
+  static constexpr int kMaxDepth = 256;
 
   const std::string& s_;
   std::size_t pos_ = 0;

@@ -59,12 +59,6 @@ TEST(Minimal, ReroutesAroundFaults) {
   }
 }
 
-TEST(Minimal, MaxHopsIsDiameter) {
-  auto t = make_net(3, 4);
-  MinimalAlgorithm algo;
-  EXPECT_EQ(algo.max_hops(t.ctx), 3);
-}
-
 TEST(Dor, SingleCandidateLowestDimensionFirst) {
   auto t = make_net(3, 4);
   DorAlgorithm algo;
@@ -227,10 +221,10 @@ TEST(Omni, SkipsFaultyPorts) {
   for (const auto& pc : out) EXPECT_TRUE(pc.deroute);
 }
 
-TEST(Omni, MaxHopsIsNPlusM) {
+TEST(Omni, DerouteBudgetDefaultsToDims) {
   auto t = make_net(3, 4);
-  EXPECT_EQ(OmnidimensionalAlgorithm().max_hops(t.ctx), 6);
-  EXPECT_EQ(OmnidimensionalAlgorithm(1).max_hops(t.ctx), 4);
+  EXPECT_EQ(OmnidimensionalAlgorithm().budget(t.ctx), 3);
+  EXPECT_EQ(OmnidimensionalAlgorithm(1).budget(t.ctx), 1);
 }
 
 TEST(Ladder, OneStepVcFollowsHops) {

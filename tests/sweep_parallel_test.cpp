@@ -1,8 +1,8 @@
 /// \file sweep_parallel_test.cpp
 /// The sweep engine's contract: fanning a sweep across worker threads
 /// changes wall-clock time and nothing else. Serial loops and
-/// ParallelSweep with 1, 2 and 8 workers must produce bit-identical
-/// ResultRows, in submission order, run after run.
+/// ParallelSweep::run_tasks with 1, 2 and 8 workers must produce
+/// bit-identical ResultRows, in submission order, run after run.
 
 #include <gtest/gtest.h>
 
@@ -64,6 +64,16 @@ ExperimentSpec small_spec() {
   return s;
 }
 
+/// One rate task per load, in load order.
+std::vector<TaskSpec> rate_tasks(const ExperimentSpec& spec,
+                                 const std::vector<double>& loads) {
+  std::vector<TaskSpec> tasks;
+  for (double load : loads) tasks.push_back(TaskSpec::rate(spec, load));
+  return tasks;
+}
+
+const ResultRow& row(const TaskResult& r) { return std::get<ResultRow>(r); }
+
 void expect_identical(const ResultRow& a, const ResultRow& b,
                       const char* what) {
   EXPECT_EQ(a.mechanism, b.mechanism) << what;
@@ -89,71 +99,76 @@ TEST(ParallelSweep, MatchesSerialLoopBitIdentically) {
   const std::vector<ResultRow> serial = sweep_loads(serial_exp, loads);
   ASSERT_EQ(serial.size(), loads.size());
 
-  const auto points = ParallelSweep::expand_loads(spec, loads);
+  const auto tasks = rate_tasks(spec, loads);
   for (int workers : {1, 2, 8}) {
     SCOPED_TRACE(testing::Message() << "workers=" << workers);
     ParallelSweep sweep(workers);
     EXPECT_EQ(sweep.workers(), workers);
-    const std::vector<ResultRow> par = sweep.run(points);
+    const std::vector<TaskResult> par = sweep.run_tasks(tasks);
     ASSERT_EQ(par.size(), serial.size());
     for (std::size_t i = 0; i < serial.size(); ++i)
-      expect_identical(serial[i], par[i], "serial vs parallel");
+      expect_identical(serial[i], row(par[i]), "serial vs parallel");
   }
 }
 
 TEST(ParallelSweep, RepeatedRunsAreIdentical) {
-  const auto points =
-      ParallelSweep::expand_loads(small_spec(), {0.4, 0.9, 1.0});
+  const auto tasks = rate_tasks(small_spec(), {0.4, 0.9, 1.0});
   ParallelSweep sweep(2);
-  const auto first = sweep.run(points);
-  const auto second = sweep.run(points);  // same pool, fresh run
+  const auto first = sweep.run_tasks(tasks);
+  const auto second = sweep.run_tasks(tasks);  // same pool, fresh run
   ASSERT_EQ(first.size(), second.size());
   for (std::size_t i = 0; i < first.size(); ++i)
-    expect_identical(first[i], second[i], "run 1 vs run 2");
+    expect_identical(row(first[i]), row(second[i]), "run 1 vs run 2");
 }
 
 TEST(ParallelSweep, ResultsDeliveredInSubmissionOrder) {
   // Mixed costs (different loads and seeds) so workers finish out of
   // order; on_result must still observe 0, 1, 2, ...
-  ExperimentSpec spec = small_spec();
-  std::vector<SweepPoint> points;
+  std::vector<TaskSpec> tasks;
   for (int t = 0; t < 8; ++t) {
-    SweepPoint p{spec, t % 2 ? 1.0 : 0.1};
-    p.spec.seed = 100 + static_cast<std::uint64_t>(t);
-    p.spec.measure = t % 2 ? 900 : 200;
-    points.push_back(p);
+    TaskSpec task = TaskSpec::rate(small_spec(), t % 2 ? 1.0 : 0.1);
+    task.spec.seed = 100 + static_cast<std::uint64_t>(t);
+    task.spec.measure = t % 2 ? 900 : 200;
+    tasks.push_back(task);
   }
   ParallelSweep sweep(4);
   std::vector<std::size_t> order;
-  const auto rows = sweep.run(
-      points, [&](std::size_t i, const ResultRow& r) {
+  const auto results = sweep.run_tasks(
+      tasks, [&](std::size_t i, const TaskResult& r) {
         order.push_back(i);
-        EXPECT_EQ(r.offered, points[i].offered);
+        EXPECT_EQ(row(r).offered, tasks[i].offered);
       });
-  ASSERT_EQ(rows.size(), points.size());
-  std::vector<std::size_t> expected(points.size());
+  ASSERT_EQ(results.size(), tasks.size());
+  std::vector<std::size_t> expected(tasks.size());
   std::iota(expected.begin(), expected.end(), 0u);
   EXPECT_EQ(order, expected);
 }
 
-TEST(ParallelSweep, ExpandSeedsGivesDistinctStreams) {
-  const auto points = ParallelSweep::expand_seeds(small_spec(), 1.0, 40, 3);
-  ASSERT_EQ(points.size(), 3u);
-  EXPECT_EQ(points[0].spec.seed, 40u);
-  EXPECT_EQ(points[1].spec.seed, 41u);
-  EXPECT_EQ(points[2].spec.seed, 42u);
-  for (const auto& p : points) EXPECT_EQ(p.offered, 1.0);
-
-  // Distinct seeds must actually change the sampled traffic/runs.
+TEST(ParallelSweep, SeedVariantsGiveDistinctStreams) {
+  // One configuration repeated over three seeds (fault-trial averaging):
+  // each task must run its own seed's stream, in parallel exactly as in
+  // the serial reference, and distinct seeds must change the run.
+  std::vector<TaskSpec> tasks;
+  for (std::uint64_t seed : {40u, 41u, 42u}) {
+    TaskSpec task = TaskSpec::rate(small_spec(), 1.0);
+    task.spec.seed = seed;
+    tasks.push_back(task);
+  }
   ParallelSweep sweep(2);
-  const auto rows = sweep.run(points);
-  EXPECT_FALSE(rows[0].accepted == rows[1].accepted &&
-               rows[1].accepted == rows[2].accepted &&
-               rows[0].avg_latency == rows[1].avg_latency);
+  const auto results = sweep.run_tasks(tasks);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < tasks.size(); ++i)
+    expect_identical(row(run_task(tasks[i])), row(results[i]),
+                     "run_task vs run_tasks");
+  const ResultRow& r0 = row(results[0]);
+  const ResultRow& r1 = row(results[1]);
+  const ResultRow& r2 = row(results[2]);
+  EXPECT_FALSE(r0.accepted == r1.accepted && r1.accepted == r2.accepted &&
+               r0.avg_latency == r1.avg_latency);
 }
 
 TEST(ParallelSweep, FreshExperimentMatchesReuse) {
-  // The engine builds one Experiment per point; a caller reusing one
+  // The engine builds one Experiment per task; a caller reusing one
   // Experiment for repeated run_load calls must see the same rows, or
   // the "bit-identical to serial" promise is vacuous.
   const ExperimentSpec spec = small_spec();
@@ -161,30 +176,29 @@ TEST(ParallelSweep, FreshExperimentMatchesReuse) {
   const ResultRow first = reused.run_load(0.7);
   const ResultRow again = reused.run_load(0.7);
   expect_identical(first, again, "reused Experiment must be idempotent");
-  const ResultRow fresh = run_sweep_point({spec, 0.7});
+  const ResultRow fresh = row(run_task(TaskSpec::rate(spec, 0.7)));
   expect_identical(first, fresh, "fresh vs reused Experiment");
 }
 
 TEST(ParallelSweep, EmptyPointListIsFine) {
   ParallelSweep sweep(2);
-  EXPECT_TRUE(sweep.run({}).empty());
+  EXPECT_TRUE(sweep.run_tasks({}).empty());
 }
 
 TEST(ParallelSweep, OnResultExceptionDrainsAndPropagates) {
   // A throwing on_result must reach the caller only after the pool has
-  // drained (in-flight workers reference run()'s locals), and must leave
-  // the sweep reusable.
-  const auto points =
-      ParallelSweep::expand_loads(small_spec(), {0.3, 0.6, 0.9, 1.0});
+  // drained (in-flight workers reference run_tasks()'s locals), and must
+  // leave the sweep reusable.
+  const auto tasks = rate_tasks(small_spec(), {0.3, 0.6, 0.9, 1.0});
   ParallelSweep sweep(4);
-  EXPECT_THROW(sweep.run(points,
-                         [](std::size_t i, const ResultRow&) {
-                           if (i == 1) throw std::runtime_error("boom");
-                         }),
+  EXPECT_THROW(sweep.run_tasks(tasks,
+                               [](std::size_t i, const TaskResult&) {
+                                 if (i == 1) throw std::runtime_error("boom");
+                               }),
                std::runtime_error);
-  const auto rows = sweep.run(points);  // same pool, still functional
-  ASSERT_EQ(rows.size(), points.size());
-  for (const ResultRow& r : rows) EXPECT_GT(r.packets, 0);
+  const auto results = sweep.run_tasks(tasks);  // same pool, still functional
+  ASSERT_EQ(results.size(), tasks.size());
+  for (const TaskResult& r : results) EXPECT_GT(row(r).packets, 0);
 }
 
 // Faulted specs exercise table rebuilds and the escape path in parallel.
@@ -199,10 +213,10 @@ TEST(ParallelSweep, FaultedSpecsMatchSerial) {
     serial.push_back(e.run_load(l));
   }
   ParallelSweep sweep(8);
-  const auto par = sweep.run(ParallelSweep::expand_loads(spec, loads));
+  const auto par = sweep.run_tasks(rate_tasks(spec, loads));
   ASSERT_EQ(par.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i)
-    expect_identical(serial[i], par[i], "faulted serial vs parallel");
+    expect_identical(serial[i], row(par[i]), "faulted serial vs parallel");
 }
 
 } // namespace

@@ -134,15 +134,26 @@ TEST(TaskSpec, ResultAccessorsMatchKind) {
   EXPECT_EQ(task_result_row(dyn)->mechanism, "PolSP");
 }
 
-TEST(TaskSpec, ExpandTaskSeedsKeepsKindAndParameters) {
+TEST(TaskSpec, SeedVariantsKeepKindAndParameters) {
+  // Per-seed copies of a completion task (fault-trial averaging) keep
+  // their kind and parameters through run_tasks: each returns a
+  // CompletionResult bit-identical to run_task on the same copy.
   const TaskSpec proto = TaskSpec::completion(small_spec(), 16, 500, 50000);
-  const auto tasks = ParallelSweep::expand_task_seeds(proto, 90, 3);
-  ASSERT_EQ(tasks.size(), 3u);
-  for (int t = 0; t < 3; ++t) {
-    EXPECT_EQ(tasks[static_cast<std::size_t>(t)].kind, TaskKind::kCompletion);
-    EXPECT_EQ(tasks[static_cast<std::size_t>(t)].spec.seed,
-              90u + static_cast<std::uint64_t>(t));
-    EXPECT_EQ(tasks[static_cast<std::size_t>(t)].packets_per_server, 16);
+  std::vector<TaskSpec> tasks;
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    TaskSpec task = proto;
+    task.spec.seed = 90 + t;
+    tasks.push_back(task);
+  }
+  ParallelSweep sweep(2);
+  const auto results = sweep.run_tasks(tasks);
+  ASSERT_EQ(results.size(), 3u);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    ASSERT_EQ(task_result_kind(results[i]), TaskKind::kCompletion);
+    const CompletionResult& c = std::get<CompletionResult>(results[i]);
+    EXPECT_TRUE(c.drained);
+    expect_identical(std::get<CompletionResult>(run_task(tasks[i])), c,
+                     "run_task vs run_tasks seed variant");
   }
 }
 
@@ -211,13 +222,17 @@ TEST(TaskSpecs, RateTasksMatchRunExactly) {
   std::vector<TaskSpec> tasks;
   for (double l : loads) tasks.push_back(TaskSpec::rate(spec, l));
 
+  std::vector<ResultRow> rows;
+  for (double l : loads) {
+    Experiment e(spec);
+    rows.push_back(e.run_load(l));
+  }
   ParallelSweep sweep(2);
-  const auto rows = sweep.run(ParallelSweep::expand_loads(spec, loads));
   const auto results = sweep.run_tasks(tasks);
   ASSERT_EQ(results.size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i)
     expect_identical(rows[i], std::get<ResultRow>(results[i]),
-                     "run vs run_tasks");
+                     "Experiment::run_load vs run_tasks");
 }
 
 TEST(TaskSpecs, NearSaturationMatchesSerialBitIdentically) {

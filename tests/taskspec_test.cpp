@@ -94,6 +94,24 @@ TEST(JsonIo, WriterRoundTripsThroughParser) {
   EXPECT_TRUE(v.at("o").at("b").as_bool());
 }
 
+TEST(JsonIo, AcceptsNestingUpToTheDepthLimit) {
+  const std::string deep = std::string(256, '[') + std::string(256, ']');
+  const JsonValue v = JsonValue::parse(deep);
+  EXPECT_TRUE(v.is_array());
+}
+
+TEST(JsonIoDeathTest, HostileNestingFailsWithDepthMessage) {
+  // A manifest of 200,000 nested arrays would overflow an unbounded
+  // recursive parser's stack; it must stop with a message naming the
+  // limit instead.
+  const std::string hostile(200000, '[');
+  EXPECT_DEATH((void)manifest_from_json(hostile),
+               "JSON nesting deeper than 256 levels");
+  EXPECT_DEATH((void)JsonValue::parse(std::string(257, '[') +
+                                      std::string(257, ']')),
+               "nesting deeper than 256");
+}
+
 // ---------------------------------------------------------------------------
 // ExperimentSpec codec.
 // ---------------------------------------------------------------------------
