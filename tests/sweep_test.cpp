@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/experiment.hpp"
 #include "topology/builders.hpp"
 
@@ -133,6 +135,14 @@ struct PatternParam {
   int side;
   int sps;
 };
+
+// Prints the fields by value. gtest's default printer dumps the struct's raw
+// bytes, which start with the address of the pattern string and so give the
+// case a different name in every build and every run.
+void PrintTo(const PatternParam& p, std::ostream* os) {
+  *os << p.pattern << " dims=" << p.dims << " side=" << p.side
+      << " sps=" << p.sps;
+}
 
 class PatternAdmissibility : public ::testing::TestWithParam<PatternParam> {};
 
